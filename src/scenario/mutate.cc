@@ -15,7 +15,8 @@ namespace {
 struct ShapeTracker {
   explicit ShapeTracker(const Dataset& base) : domain(base.domain()) {
     last_stamp.reserve(base.size());
-    for (const AttributeHistory& h : base.attributes()) {
+    for (AttributeId id = 0; id < base.size(); ++id) {
+      const AttributeHistory& h = base.attribute(id);
       last_stamp.push_back(h.change_timestamps().empty()
                                ? 0
                                : h.change_timestamps().back());

@@ -35,7 +35,8 @@ uint64_t ComputeCorpusDigest(const Dataset& dataset) {
   h = HashCombine(h, static_cast<uint64_t>(dataset.domain().epoch_day()));
   h = HashCombine(h, dataset.dictionary().ContentDigest());
   h = HashCombine(h, dataset.size());
-  for (const AttributeHistory& attr : dataset.attributes()) {
+  for (AttributeId id = 0; id < dataset.size(); ++id) {
+    const AttributeHistory& attr = dataset.attribute(id);
     h = HashCombine(h, HashString(attr.meta().page));
     h = HashCombine(h, HashString(attr.meta().table));
     h = HashCombine(h, HashString(attr.meta().column));

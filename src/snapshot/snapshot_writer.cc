@@ -194,7 +194,8 @@ Status TindIndex::WriteSnapshotFile(
       MakeSmallSectionLazy(snapshot::kSectionAttributeMeta, reuse, [&]() {
         std::string meta_bytes;
         AppendPodT(&meta_bytes, static_cast<uint64_t>(dataset_->size()));
-        for (const AttributeHistory& attr : dataset_->attributes()) {
+        for (AttributeId id = 0; id < dataset_->size(); ++id) {
+          const AttributeHistory& attr = dataset_->attribute(id);
           AppendString(&meta_bytes, attr.meta().page);
           AppendString(&meta_bytes, attr.meta().table);
           AppendString(&meta_bytes, attr.meta().column);

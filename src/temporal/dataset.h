@@ -5,7 +5,10 @@
 /// The input of tIND discovery: the set of attributes D (Section 3.1),
 /// i.e. a time domain, a shared value dictionary, and one AttributeHistory
 /// per attribute. Datasets are built once and then shared read-only across
-/// query threads.
+/// query threads. Copies share their histories: a copy that changes one
+/// (mutable_attribute) first takes a private copy of that history only, so
+/// a live-ingest epoch costs the histories its delta touches, not the
+/// whole corpus.
 
 #include <memory>
 #include <vector>
@@ -43,21 +46,33 @@ class Dataset {
 
   size_t size() const { return attributes_.size(); }
   const AttributeHistory& attribute(AttributeId id) const {
-    return attributes_[id];
+    return *attributes_[id];
   }
   /// Mutable history access for the live-ingest path (tind/update.h), which
-  /// appends revisions to a *private copy* of the dataset; shared datasets
-  /// stay read-only.
+  /// appends revisions to a *private copy* of the dataset. A history still
+  /// shared with another dataset is copied first (copy-on-write), so the
+  /// other dataset never changes. Not safe while another thread copies
+  /// this dataset.
   AttributeHistory* mutable_attribute(AttributeId id) {
-    return &attributes_[id];
+    std::shared_ptr<AttributeHistory>& history = attributes_[id];
+    if (history.use_count() > 1) {
+      history = std::make_shared<AttributeHistory>(*history);
+    }
+    return history.get();
   }
-  const std::vector<AttributeHistory>& attributes() const {
-    return attributes_;
+
+  /// A copy sharing this dataset's histories (copy-on-write) but interning
+  /// into `dictionary`.
+  Dataset WithDictionary(std::shared_ptr<ValueDictionary> dictionary) const {
+    Dataset copy(*this);
+    copy.dictionary_ = std::move(dictionary);
+    return copy;
   }
 
   /// Appends a history; its id must equal its position.
   void Add(AttributeHistory history) {
-    attributes_.push_back(std::move(history));
+    attributes_.push_back(
+        std::make_shared<AttributeHistory>(std::move(history)));
   }
 
   /// Computes the Section-5.1-style summary statistics.
@@ -67,7 +82,7 @@ class Dataset {
   TimeDomain domain_;
   std::shared_ptr<ValueDictionary> dictionary_ =
       std::make_shared<ValueDictionary>();
-  std::vector<AttributeHistory> attributes_;
+  std::vector<std::shared_ptr<AttributeHistory>> attributes_;
 };
 
 }  // namespace tind

@@ -151,8 +151,10 @@ class TindIndex {
 
   /// tIND search (Definition 3.7): all A ∈ D with Q ⊆_{w,ε,δ} A. The query
   /// history must share the dataset's dictionary and domain; if it is one of
-  /// the indexed attributes, it is excluded from its own result (reflexive
-  /// tINDs are trivial). Results are ascending by attribute id.
+  /// the indexed attributes (the same object, which a history shared
+  /// copy-on-write between dataset copies is), it is excluded from its own
+  /// result (reflexive tINDs are trivial). Results are ascending by
+  /// attribute id.
   ///
   /// If `pool` is non-null, final validations run in parallel on it.
   std::vector<AttributeId> Search(const AttributeHistory& query,

@@ -54,9 +54,10 @@ Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
   DeltaApplication out;
   // Deep-copy the dictionary: the base epoch must stay immutable while new
   // revisions intern values, so concurrent readers never race with ingest.
+  // Histories are shared with the base; mutable_attribute copies the ones
+  // this delta touches.
   auto dict = std::make_shared<ValueDictionary>(base.dictionary());
-  out.dataset = std::make_shared<Dataset>(base.domain(), dict);
-  for (const AttributeHistory& h : base.attributes()) out.dataset->Add(h);
+  out.dataset = std::make_shared<Dataset>(base.WithDictionary(dict));
   Dataset& ds = *out.dataset;
 
   const auto mark_dirty = [&out](AttributeId id, Timestamp t) {

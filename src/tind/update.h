@@ -7,8 +7,9 @@
 /// TindIndex without a rebuild.
 ///
 /// The updater never mutates the base dataset or index. It produces a *new*
-/// dataset (deep-copied histories + deep-copied dictionary, so concurrent
-/// readers of the old epoch race with nothing) and a *new* index whose
+/// dataset (deep-copied dictionary; histories shared copy-on-write, so only
+/// the ones the delta touches are copied and concurrent readers of the old
+/// epoch race with nothing) and a *new* index whose
 /// matrices are cloned from the base and patched column-wise:
 ///
 ///  * M_T: the column of every dirty attribute is cleared and re-set from
@@ -95,9 +96,10 @@ struct DeltaApplication {
   bool dictionary_grew = false;
 };
 
-/// Applies `delta` to a deep copy of `base` (histories and dictionary; the
-/// base is never touched). Both the incremental path and the fresh-rebuild
-/// oracle of the differential test run through this one function, so value
+/// Applies `delta` to a private copy of `base` (deep-copied dictionary,
+/// copy-on-write histories; the base is never touched). Both the
+/// incremental path and the fresh-rebuild oracle of the differential test
+/// run through this one function, so value
 /// interning order — and therefore every ValueId and Bloom bit — is
 /// identical on both sides by construction. Ops are applied in order;
 /// validation errors (unknown attribute, out-of-domain or non-increasing

@@ -273,7 +273,8 @@ Status WriteDataset(const Dataset& dataset, const GroundTruth* ground_truth,
   }
   writer.Line("attributes " + std::to_string(dataset.size()));
   std::string line;
-  for (const AttributeHistory& attr : dataset.attributes()) {
+  for (AttributeId id = 0; id < dataset.size(); ++id) {
+    const AttributeHistory& attr = dataset.attribute(id);
     line = "A ";
     line += EscapeField(attr.meta().page);
     line += '|';

@@ -52,7 +52,8 @@ TEST(GeneratorTest, DatasetPassesMirrorFilters) {
   auto result = WikiGenerator(SmallOptions()).GenerateDataset();
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->dataset.size(), 20u);
-  for (const auto& attr : result->dataset.attributes()) {
+  for (AttributeId id = 0; id < result->dataset.size(); ++id) {
+    const AttributeHistory& attr = result->dataset.attribute(id);
     EXPECT_GE(attr.num_versions(), 5u) << attr.meta().FullName();
     EXPECT_GE(attr.MedianCardinality(), 5u) << attr.meta().FullName();
   }
@@ -119,7 +120,8 @@ TEST(GeneratorTest, ChangeCountsSpreadAcrossBuckets) {
   auto result = WikiGenerator(SmallOptions()).GenerateDataset();
   ASSERT_TRUE(result.ok());
   size_t low = 0, mid = 0, high = 0;
-  for (const auto& attr : result->dataset.attributes()) {
+  for (AttributeId id = 0; id < result->dataset.size(); ++id) {
+    const AttributeHistory& attr = result->dataset.attribute(id);
     const size_t c = attr.num_changes();
     if (c < 8) {
       ++low;
@@ -238,7 +240,8 @@ TEST(GeneratorRawTest, PipelineRecoversGenerator) {
   // Vandalism and numeric decoys must have been filtered.
   EXPECT_EQ(processed->dataset.dictionary().Lookup("VANDAL 0"),
             kInvalidValueId);
-  for (const auto& attr : processed->dataset.attributes()) {
+  for (AttributeId id = 0; id < processed->dataset.size(); ++id) {
+    const AttributeHistory& attr = processed->dataset.attribute(id);
     EXPECT_NE(attr.meta().column, "Year");
   }
   // The recovered attribute count is in the same ballpark as the direct

@@ -209,7 +209,8 @@ TEST(PreprocessTest, ColumnDeletionRecorded) {
   ASSERT_EQ(result->dataset.size(), 2u);
   // The dropped column has an empty version from day 10 on.
   const AttributeHistory* dropped = nullptr;
-  for (const auto& attr : result->dataset.attributes()) {
+  for (AttributeId id = 0; id < result->dataset.size(); ++id) {
+    const AttributeHistory& attr = result->dataset.attribute(id);
     if (attr.meta().column == "Drop") dropped = &attr;
   }
   ASSERT_NE(dropped, nullptr);

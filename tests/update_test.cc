@@ -136,7 +136,7 @@ TEST(ApplyDeltaToDatasetTest, RejectsInvalidOpsWithoutSideEffects) {
 
   // The base dataset (and its shared dictionary) must be untouched even
   // though the failing op may have interned values before being rejected —
-  // the apply works on a deep copy.
+  // the apply works on a private copy.
   EXPECT_EQ(corpus.dictionary().size(), base_dict);
 }
 
@@ -179,8 +179,15 @@ TEST(ApplyDeltaToDatasetTest, TracksDirtAndDictionaryGrowth) {
   EXPECT_EQ(applied->dirty.at(3), retire_t);
   // Retire resolves to the empty set from t onward.
   EXPECT_EQ(applied->dataset->attribute(3).VersionAt(retire_t).size(), 0u);
-  // The base is untouched (deep copy semantics).
+  // The base is untouched (copy-on-write): the delta's targets were copied
+  // before the write, every other history is shared, not copied.
   EXPECT_NE(corpus.attribute(3).VersionAt(retire_t).size(), 0u);
+  EXPECT_EQ(corpus.attribute(2).num_versions() + 1,
+            applied->dataset->attribute(2).num_versions());
+  EXPECT_NE(&corpus.attribute(2), &applied->dataset->attribute(2));
+  EXPECT_NE(&corpus.attribute(3), &applied->dataset->attribute(3));
+  EXPECT_EQ(&corpus.attribute(0), &applied->dataset->attribute(0));
+  EXPECT_EQ(&corpus.attribute(4), &applied->dataset->attribute(4));
 }
 
 TEST(IndexUpdaterTest, StatsAccountForPatchingWork) {
@@ -215,6 +222,32 @@ TEST(IndexUpdaterTest, StatsAccountForPatchingWork) {
   size_t dirty_slices = 0;
   for (const bool d : stats.slice_dirty) dirty_slices += d ? 1 : 0;
   EXPECT_EQ(dirty_slices, stats.slices_patched);
+}
+
+TEST(IndexUpdaterTest, SharedHistoryIsExcludedFromItsOwnResult) {
+  const Dataset corpus = MakeCorpus(35);
+  const ConstantWeight weight(corpus.domain().num_timestamps());
+  auto built = TindIndex::Build(corpus, IndexOpts(&weight));
+  ASSERT_TRUE(built.ok());
+  RevisionDelta delta;
+  RevisionOp op;
+  op.kind = RevisionOp::Kind::kAppendVersion;
+  op.attribute = 1;
+  op.timestamp = corpus.domain().last();
+  op.values = {"late-breaking-value"};
+  delta.ops.push_back(op);
+  auto updated = IndexUpdater::ApplyDelta(**built, delta);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+
+  // Attribute 0 is untouched, so the base and the new epoch share one
+  // history: probing the new index with the base's copy is a self-probe.
+  const AttributeHistory& shared = corpus.attribute(0);
+  ASSERT_EQ(&shared, &updated->dataset->attribute(0));
+  const TindParams params{3.0, 7, &weight};
+  const std::vector<AttributeId> ids = updated->index->Search(shared, params);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), AttributeId{0}), 0);
+  EXPECT_EQ(ids, updated->index->Search(updated->dataset->attribute(0),
+                                        params));
 }
 
 TEST(IndexUpdaterTest, InjectedFaultsLeaveTheBaseServing) {
