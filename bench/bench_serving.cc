@@ -6,7 +6,12 @@
 ///
 /// Phase 1 sweeps an open-loop QPS ladder against an in-process TindServer
 /// and locates the *knee*: the highest offered rate the server absorbs with
-/// <1% shedding and every request accounted. Points past the knee are where
+/// <1% shedding, every request accounted and no backlog (answers keep pace
+/// with arrivals). Past the ladder's top the rate keeps doubling until a
+/// rung fails that test or would pass kMaxQps, so the knee is measured
+/// rather than the top rung. The load runs on twice as many connections as
+/// the server has admission slots, so a server that falls behind can shed
+/// rather than only slow the clients down. Points past the knee are where
 /// queueing delay (measured from each request's scheduled arrival — the
 /// open loop charges the server for its backlog) turns the latency curve
 /// vertical.
@@ -40,6 +45,10 @@
 
 namespace tind {
 namespace {
+
+/// The sweep stops doubling past this rate even if the server still keeps
+/// up, so a fast machine cannot stretch the CI run without bound.
+constexpr double kMaxQps = 102400;
 
 int RunServing(const Flags& flags) {
   wiki::GeneratedDataset corpus = bench::BuildCorpus(flags, 240, 1000);
@@ -88,7 +97,8 @@ int RunServing(const Flags& flags) {
       static_cast<uint32_t>(flags.GetInt("max_attempts", 3));
   base.qps = 100;
   base.duration_s = flags.GetDouble("duration_s", 1.0);
-  base.workers = static_cast<size_t>(flags.GetInt("workers", 8));
+  base.workers = static_cast<size_t>(flags.GetInt(
+      "workers", static_cast<int64_t>(2 * server_options.max_inflight)));
   base.reverse_fraction = 0.25;
   base.discovery_fraction = 0.05;
   base.num_attributes = dataset.size();
@@ -96,7 +106,7 @@ int RunServing(const Flags& flags) {
 
   const std::vector<double> ladder =
       flags.GetDoubleList("sweep", {25, 50, 100, 200, 400});
-  serve::SweepResult sweep = serve::RunQpsSweep(base, ladder);
+  serve::SweepResult sweep = serve::RunQpsSweep(base, ladder, kMaxQps);
 
   TablePrinter table(
       {"qps", "offered", "ok", "degraded", "shed", "p50 ms", "p99 ms"});
@@ -108,8 +118,12 @@ int RunServing(const Flags& flags) {
                   bench::Ms(r.p50_ms), bench::Ms(r.p99_ms)});
   }
   bench::EmitTable(flags, table, "latency vs offered QPS (open loop)");
-  std::printf("knee: %.0f qps (highest rung with <1%% shed, all accounted)\n",
-              sweep.knee_qps);
+  std::printf(
+      "knee: %.0f qps (highest rung with <1%% shed, all accounted, no "
+      "backlog%s)\n",
+      sweep.knee_qps,
+      sweep.knee_qps == sweep.points.back().qps ? "; stopped at the rate cap"
+                                                : "");
 
   // ---- Streaming phase: the same server, every query issued through the
   // progressive kSearchStream op. Measures time-to-first-result (the
@@ -134,15 +148,15 @@ int RunServing(const Flags& flags) {
 
   // ---- Overload stage: >= 2x knee against a harshly provisioned server.
   // Raw capacity is machine-dependent, so the storm targets a server whose
-  // admission bound is small and whose group-commit linger is long: with
-  // qps * linger > max_inflight, every commit window accumulates more
-  // arrivals than there are slots, and the surplus MUST be shed — typed,
-  // on any machine. Accepted requests still finish well inside their
-  // deadline (linger + execution << deadline).
+  // admission bound is small and whose every query is charged 20 ms by the
+  // test-only pace: its 8 slots answer at most 8 / 20 ms = 400 requests/s
+  // on any machine and with any number of executors. The storm offers at
+  // least 800, so the surplus MUST be shed — typed. Accepted requests still
+  // finish inside their deadline (a full window of 8 holds 160 ms).
   serve::ServerOptions storm_options = server_options;
   storm_options.max_inflight = 8;
   storm_options.degrade_watermark = 6;
-  storm_options.batch_linger_us = 40000;
+  storm_options.execution_pace_ms = 20;
   serve::TindServer storm_server(**index_or, params, storm_options);
   const Status storm_started = storm_server.Start();
   if (!storm_started.ok()) {

@@ -758,12 +758,12 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
       }
 
       // F: progressive streaming chaos against a *paced* child — the
-      // server sleeps between funnel stages, stretching the gap between
-      // the partial frame and the final one so deadline and mid-stream
+      // server sleeps after each stream's partial frame, stretching the gap
+      // between the partial and the final one so deadline and mid-stream
       // kill interleavings are deterministic instead of racy.
       std::remove(port_path.c_str());
       serve::ServerOptions paced_options = server_options;
-      paced_options.stream_pace_ms = 300;
+      paced_options.execution_pace_ms = 300;
       paced_options.default_deadline_ms = 10000;
       pid_t paced_pid = spawn_server(0, paced_options);
       uint16_t paced_port = 0;

@@ -126,7 +126,9 @@ double Histogram::Percentile(double p) const {
       const double frac =
           (target - static_cast<double>(cumulative)) /
           static_cast<double>(counts[i]);
-      return lower + frac * (upper - lower);
+      // A bucket edge can lie outside every observed value; no percentile
+      // may (one 149 ms sample is p50 = 149, not the bucket midpoint).
+      return std::clamp(lower + frac * (upper - lower), min(), max());
     }
     cumulative = next;
   }

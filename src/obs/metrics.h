@@ -93,7 +93,8 @@ class Histogram {
   double max() const;  ///< 0 when empty.
   double Mean() const;
   /// Percentile estimate (p in [0,100]) by linear interpolation inside the
-  /// owning bucket; exact values are not retained (fixed memory).
+  /// owning bucket, clamped to the observed [min, max]; exact values are not
+  /// retained (fixed memory).
   double Percentile(double p) const;
 
   const std::vector<double>& bounds() const { return bounds_; }

@@ -225,9 +225,12 @@ LoadReport RunOpenLoopLoad(const LoadOptions& options) {
 }
 
 SweepResult RunQpsSweep(const LoadOptions& base,
-                        const std::vector<double>& qps_ladder) {
+                        const std::vector<double>& qps_ladder,
+                        double max_qps) {
   SweepResult sweep;
-  for (const double qps : qps_ladder) {
+  std::vector<double> ladder = qps_ladder;
+  for (size_t i = 0; i < ladder.size(); ++i) {
+    const double qps = ladder[i];
     LoadOptions point_options = base;
     point_options.qps = qps;
     // De-correlate the arrival processes across points.
@@ -240,8 +243,19 @@ SweepResult RunQpsSweep(const LoadOptions& base,
         r.offered == 0 ? 0
                        : static_cast<double>(r.shed) /
                              static_cast<double>(r.offered);
-    if (shed_fraction < 0.01 && r.AllAccounted() && qps > sweep.knee_qps) {
-      sweep.knee_qps = qps;
+    // Absorbed: under 1% shed, every request accounted, and answers kept
+    // pace with arrivals. Each worker waits for its answer before sending
+    // the next request, so a server that falls behind builds a backlog on
+    // the client side — where it can never be shed — and the rung takes
+    // longer than its schedule.
+    const double offered_qps =
+        static_cast<double>(r.offered) / point_options.duration_s;
+    const bool absorbed = shed_fraction < 0.01 && r.AllAccounted() &&
+                          r.achieved_qps >= 0.9 * offered_qps;
+    if (absorbed && qps > sweep.knee_qps) sweep.knee_qps = qps;
+    // Past the ladder's top: keep doubling until a rung is not absorbed.
+    if (absorbed && i + 1 == ladder.size() && 2 * qps <= max_qps) {
+      ladder.push_back(2 * qps);
     }
     sweep.points.push_back(std::move(point));
   }

@@ -9,9 +9,9 @@
 /// arrival, so queueing delay behind a saturated server counts.
 ///
 /// RunQpsSweep runs a ladder of QPS points and locates the knee: the
-/// highest offered rate the server absorbs with negligible shedding. The
-/// emitted JSON (BENCH_serving.json schema) is shared by the tind_load
-/// tool and bench_serving harness and validated in CI by
+/// highest offered rate the server absorbs with negligible shedding and no
+/// growing backlog. The emitted JSON (BENCH_serving.json schema) is shared
+/// by the tind_load tool and bench_serving harness and validated in CI by
 /// tools/check_bench_json.py against bench/baselines/serving.json.
 
 #include <cstdint>
@@ -90,14 +90,19 @@ struct SweepPoint {
 
 struct SweepResult {
   std::vector<SweepPoint> points;
-  /// Highest swept QPS with <1% shed and no unaccounted requests; 0 when
-  /// every point shed.
+  /// Highest swept QPS with <1% shed, no unaccounted requests and answers
+  /// keeping pace with arrivals (achieved >= 90% of offered); 0 when no
+  /// point qualified.
   double knee_qps = 0;
 };
 
-/// Runs `qps_ladder` points sequentially with the same base options.
+/// Runs `qps_ladder` points sequentially with the same base options. If
+/// the top rung still qualifies for the knee, keeps doubling the rate until
+/// a rung does not or the next rate would pass `max_qps`; the default 0
+/// runs the ladder as given.
 SweepResult RunQpsSweep(const LoadOptions& base,
-                        const std::vector<double>& qps_ladder);
+                        const std::vector<double>& qps_ladder,
+                        double max_qps = 0);
 
 /// The BENCH_serving.json document: {"points": [...], "knee_qps",
 /// "total_offered", "total_ok", "all_accounted", "hung_requests"}.

@@ -101,7 +101,13 @@ Status TindServer::Start() {
   ttfr_ms_ = obs::MetricsRegistry::Global().GetHistogram("serve/ttfr_ms");
   planner_ = std::make_unique<CostModelPlanner>(index_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  batcher_thread_ = std::thread([this] { BatcherLoop(); });
+  // At least two executors, so even a single-core host runs a heavy query
+  // and the requests behind it concurrently.
+  const size_t executors =
+      std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (size_t i = 0; i < executors; ++i) {
+    executor_threads_.emplace_back([this] { ExecutorLoop(); });
+  }
   watcher_thread_ = std::thread([this] { WatcherLoop(); });
   return Status::OK();
 }
@@ -114,7 +120,7 @@ void TindServer::Shutdown() {
   draining_.store(true);
   // Phase 2: wait for in-flight requests to be answered. Bounded: every
   // admitted request carries a deadline the watcher enforces, and the
-  // batcher keeps dispatching until the queue is empty.
+  // executors keep dispatching until the queue is empty.
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     queue_cv_.notify_all();
@@ -125,7 +131,9 @@ void TindServer::Shutdown() {
   watcher_cv_.notify_all();
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (batcher_thread_.joinable()) batcher_thread_.join();
+  for (std::thread& t : executor_threads_) {
+    if (t.joinable()) t.join();
+  }
   if (watcher_thread_.joinable()) watcher_thread_.join();
   stop_readers_.store(true);
   {
@@ -153,6 +161,7 @@ TindServer::Counters TindServer::counters() const {
   c.shed = shed_.load();
   c.deadline_exceeded = deadline_exceeded_.load();
   c.protocol_errors = protocol_errors_.load();
+  c.request_invalid = request_invalid_.load();
   c.slow_loris_drops = slow_loris_drops_.load();
   c.deltas_applied = deltas_applied_.load();
   return c;
@@ -240,8 +249,7 @@ void TindServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       if (frame.status().IsInvalidArgument()) {
         // The bytes are not a frame — after this the stream offset is
         // unrecoverable, so answer once and drop the connection.
-        protocol_errors_.fetch_add(1);
-        TIND_OBS_COUNTER_ADD("serve/protocol_errors", 1);
+        CountProtocolError();
         SendToConnection(conn, MessageType::kError, 0,
                          EncodeErrorResponse(frame.status()));
       } else if (frame.status().message().find("stalled") !=
@@ -281,8 +289,7 @@ void TindServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       }
       auto delta = DecodeApplyDeltaRequest(frame.payload);
       if (!delta.ok()) {
-        protocol_errors_.fetch_add(1);
-        TIND_OBS_COUNTER_ADD("serve/protocol_errors", 1);
+        CountProtocolError();
         SendToConnection(conn, MessageType::kError, frame.header.request_id,
                          EncodeErrorResponse(delta.status()));
         return;
@@ -317,7 +324,7 @@ void TindServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     default:
-      protocol_errors_.fetch_add(1);
+      CountProtocolError();
       SendToConnection(conn, MessageType::kError, frame.header.request_id,
                        EncodeErrorResponse(Status::InvalidArgument(
                            "unexpected message type " +
@@ -338,7 +345,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   if (frame.header.type == MessageType::kSearchStream) {
     auto decoded = DecodeSearchStreamRequest(frame.payload);
     if (!decoded.ok()) {
-      protocol_errors_.fetch_add(1);
+      CountProtocolError();
       reject(decoded.status());
       return;
     }
@@ -347,7 +354,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   } else {
     auto decoded = DecodeSearchRequest(frame.payload);
     if (!decoded.ok()) {
-      protocol_errors_.fetch_add(1);
+      CountProtocolError();
       reject(decoded.status());
       return;
     }
@@ -362,7 +369,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
     if (request.window_end <= request.attribute ||
         request.window_end > n ||
         request.window_end - request.attribute > kMaxDiscoveryWindow) {
-      protocol_errors_.fetch_add(1);
+      CountInvalidRequest();
       reject(Status::InvalidArgument(
           "invalid discovery window [" + std::to_string(request.attribute) +
           ", " + std::to_string(request.window_end) + ") over " +
@@ -372,7 +379,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
     }
     num_queries = request.window_end - request.attribute;
   } else if (request.attribute >= n) {
-    protocol_errors_.fetch_add(1);
+    CountInvalidRequest();
     reject(Status::InvalidArgument(
         "attribute " + std::to_string(request.attribute) +
         " out of range (dataset has " + std::to_string(n) + ")"));
@@ -410,7 +417,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   bool queue_full = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() >= options_.max_inflight) {
+    if (inflight_ >= options_.max_inflight) {
       queue_full = true;
     } else {
       ++inflight_;
@@ -466,7 +473,7 @@ void TindServer::WatcherLoop() {
   }
 }
 
-void TindServer::BatcherLoop() {
+void TindServer::ExecutorLoop() {
   while (true) {
     std::vector<PendingRequest> batch;
     size_t depth_at_pop = 0;
@@ -474,20 +481,10 @@ void TindServer::BatcherLoop() {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
                      [this] { return stop_.load() || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_.load()) break;
-        continue;
-      }
-      // Group commit: linger briefly so concurrent arrivals share one
-      // BatchSearch window (the Bloom matrices stream once per group).
-      if (queue_.size() < options_.batch_window &&
-          options_.batch_linger_us > 0 && !stop_.load()) {
-        queue_cv_.wait_for(
-            lock, std::chrono::microseconds(options_.batch_linger_us),
-            [this] {
-              return stop_.load() || queue_.size() >= options_.batch_window;
-            });
-      }
+      if (queue_.empty()) break;  // Stopping, and nothing left to answer.
+      // Natural group commit: no waiting for the window to fill. Take what
+      // queued while the executors were busy; under load that is a full
+      // window, on an idle server it is the one request that just arrived.
       depth_at_pop = queue_.size();
       const size_t take = std::min(queue_.size(), options_.batch_window);
       batch.reserve(take);
@@ -496,8 +493,17 @@ void TindServer::BatcherLoop() {
         queue_.pop_front();
       }
       TIND_OBS_GAUGE_SET("serve/queue_depth", queue_.size());
+      // More than one window queued: hand the rest to another executor.
+      if (!queue_.empty()) queue_cv_.notify_one();
     }
     ProcessBatch(std::move(batch), depth_at_pop);
+  }
+}
+
+void TindServer::Pace(size_t queries) const {
+  if (options_.execution_pace_ms > 0 && queries > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(options_.execution_pace_ms) * queries);
   }
 }
 
@@ -522,6 +528,7 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
     int64_t delta = 0;
   };
   std::map<std::tuple<bool, bool, uint64_t, int64_t>, Group> groups;
+  size_t paced_queries = 0;
   const Clock::time_point now = Clock::now();
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& request = batch[i];
@@ -548,7 +555,12 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
     group.epsilon = request.request.epsilon;
     group.delta = request.request.delta;
     group.members.push_back(i);
+    paced_queries += request.type == MessageType::kDiscoveryWindow
+                         ? request.request.window_end -
+                               request.request.attribute
+                         : 1;
   }
+  Pace(paced_queries);
 
   const Dataset& dataset = index.dataset();
   for (auto& [key, group] : groups) {
@@ -579,7 +591,7 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
     exec.cancels = cancels.data();
     exec.superset_only = group.superset;
     std::vector<QueryStats> stats;
-    const auto results =
+    auto results =
         group.reverse
             ? index.BatchReverseSearch(queries, params, exec, &stats)
             : index.BatchSearch(queries, params, exec, &stats);
@@ -615,7 +627,7 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
       } else {
         SearchResponse response;
         response.degraded = was_degraded;
-        response.ids = results[lo];
+        response.ids = std::move(results[lo]);
         payload = EncodeSearchResponse(response);
         type = MessageType::kSearchResult;
       }
@@ -657,10 +669,7 @@ void TindServer::ProcessStream(PendingRequest& request, const TindIndex& index,
   ttfr_ms_->Observe(std::chrono::duration<double, std::milli>(Clock::now() -
                                                               request.admitted)
                         .count());
-  if (options_.stream_pace_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.stream_pace_ms));
-  }
+  Pace(1);
 
   const auto respond_final = [&](bool degraded,
                                  std::vector<AttributeId> ids) {
@@ -711,6 +720,16 @@ void TindServer::RespondError(PendingRequest& request, const Status& status) {
   SendToConnection(request.conn, MessageType::kError, request.request_id,
                    EncodeErrorResponse(status));
   FinishRequest(request);
+}
+
+void TindServer::CountProtocolError() {
+  protocol_errors_.fetch_add(1);
+  TIND_OBS_COUNTER_ADD("serve/protocol_errors", 1);
+}
+
+void TindServer::CountInvalidRequest() {
+  request_invalid_.fetch_add(1);
+  TIND_OBS_COUNTER_ADD("serve/request_invalid", 1);
 }
 
 void TindServer::FinishRequest(PendingRequest& request) {

@@ -5,10 +5,20 @@
 /// TindServer: a long-lived, overload-resilient query service over a built
 /// (or mmap-loaded) TindIndex. One listener thread accepts loopback TCP
 /// connections; one reader thread per connection parses wire.h frames; a
-/// batcher thread drains the bounded admission queue in group-commit
-/// windows and answers them through TindIndex::BatchSearch; a deadline
-/// watcher cancels requests whose budget elapses mid-funnel (via
-/// BatchExecOptions cancellation tokens).
+/// pool of executor threads drains the bounded admission queue and answers
+/// it through TindIndex::BatchSearch; a deadline watcher cancels requests
+/// whose budget elapses mid-funnel (via BatchExecOptions cancellation
+/// tokens).
+///
+/// Natural group commit: an executor never waits for a window to fill. It
+/// blocks until the queue is non-empty, then takes up to `batch_window` of
+/// whatever queued while every executor was busy. An idle server answers a
+/// lone request at once; a loaded one forms larger windows by itself, so
+/// the Bloom matrices still stream once per group. There is one executor
+/// per hardware thread, at least two, so a heavy query (or a streamed
+/// cursor) on one executor never stalls the requests behind it. Responses
+/// on one connection may therefore arrive out of request order; clients
+/// correlate them by request id.
 ///
 /// Overload ladder (in admission order):
 ///  1. accept + enqueue (normal operation);
@@ -56,7 +66,8 @@ namespace tind::serve {
 struct ServerOptions {
   uint16_t port = 0;  ///< 0 binds an ephemeral port (see TindServer::port()).
   /// Admission bound: requests beyond this many queued + executing are shed
-  /// with ResourceExhausted.
+  /// with ResourceExhausted. Counting executing requests keeps the bound
+  /// independent of the number of executors.
   size_t max_inflight = 256;
   /// Queue depth at dispatch time at or above which consenting requests are
   /// answered in degraded (Bloom-superset) mode. Set >= max_inflight to
@@ -67,10 +78,10 @@ struct ServerOptions {
   /// Slow-loris guard: a frame that started must complete, and a response
   /// write must drain, within this budget or the connection is dropped.
   uint32_t io_timeout_ms = 2000;
-  /// Group-commit: how long the batcher lingers for more requests before
-  /// dispatching a smaller window.
-  uint32_t batch_linger_us = 500;
-  size_t batch_window = 64;  ///< Max requests per BatchSearch dispatch.
+  /// Natural group commit: the most requests one executor takes from the
+  /// queue per dispatch; a window holds whatever queued while the executors
+  /// were busy.
+  size_t batch_window = 64;
   size_t max_connections = 64;
   /// Optional admission budget (not owned). Each admitted request reserves
   /// its worst-case response bytes; reservation failure sheds the request
@@ -83,11 +94,14 @@ struct ServerOptions {
   /// with FailedPrecondition. Enable only for servers that own their index
   /// lifetime (tind_serve --ingest).
   bool allow_ingest = false;
-  /// Test/chaos hook: minimum gap between a streaming request's partial
-  /// frame and the continuation of its funnel. Lets tests deterministically
-  /// land a deadline (or a kill) between the partial and the final frame.
-  /// 0 (the default) streams at full speed.
-  uint32_t stream_pace_ms = 0;
+  /// Test/chaos hook: a simulated cost per index query. An executor sleeps
+  /// this long per query it answers: a stream once, between its partial
+  /// frame and the rest of its funnel; a batched window once for all its
+  /// queries (a discovery window counts its width), before BatchSearch.
+  /// Lets tests land a deadline (or a kill) mid-execution and build queues
+  /// deterministically. 0 (the default) runs at full speed; tind_serve
+  /// never sets it.
+  uint32_t execution_pace_ms = 0;
 };
 
 class TindServer {
@@ -123,6 +137,9 @@ class TindServer {
     uint64_t shed = 0;                ///< Typed overload rejections.
     uint64_t deadline_exceeded = 0;   ///< Cancelled or expired in queue.
     uint64_t protocol_errors = 0;     ///< Malformed frames / payloads.
+    /// Well-formed requests naming an attribute or discovery window outside
+    /// the dataset.
+    uint64_t request_invalid = 0;
     uint64_t slow_loris_drops = 0;    ///< Connections cut mid-frame.
     uint64_t deltas_applied = 0;      ///< Successful live-ingest epoch swaps.
   };
@@ -168,7 +185,7 @@ class TindServer {
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WatcherLoop();
-  void BatcherLoop();
+  void ExecutorLoop();
 
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      const Frame& frame);
@@ -176,6 +193,8 @@ class TindServer {
   void AdmitRequest(const std::shared_ptr<Connection>& conn,
                     const Frame& frame);
   void ProcessBatch(std::vector<PendingRequest>&& batch, size_t depth_at_pop);
+  /// Sleeps `execution_pace_ms` per index query (test hook; no-op at 0).
+  void Pace(size_t queries) const;
   /// One streaming (kSearchStream) request: probe stage → kSearchPartial
   /// frame → cost-model plan → remaining stages → exact kSearchResult. A
   /// deadline firing mid-funnel degrades to the best completed stage's
@@ -187,6 +206,8 @@ class TindServer {
                         MessageType type, uint64_t request_id,
                         const std::string& payload);
   void FinishRequest(PendingRequest& request);
+  void CountProtocolError();
+  void CountInvalidRequest();
 
   const TindIndex& index_;
   const TindParams params_;
@@ -210,7 +231,7 @@ class TindServer {
   std::atomic<bool> stop_readers_{false};
 
   std::thread accept_thread_;
-  std::thread batcher_thread_;
+  std::vector<std::thread> executor_threads_;
   std::thread watcher_thread_;
   std::mutex conns_mutex_;
   std::vector<std::thread> reader_threads_;
@@ -241,6 +262,7 @@ class TindServer {
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> request_invalid_{0};
   std::atomic<uint64_t> slow_loris_drops_{0};
   std::atomic<uint64_t> deltas_applied_{0};
 

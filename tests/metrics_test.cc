@@ -121,6 +121,22 @@ TEST(HistogramTest, PercentileInterpolatesAndClamps) {
   EXPECT_DOUBLE_EQ(empty->Percentile(99.0), 0.0);
 }
 
+TEST(HistogramTest, PercentileStaysWithinObservedRange) {
+  MetricsRegistry registry;
+  // Default latency bounds: 149 ms lands in (100, 500], whose interpolated
+  // midpoint (300) is twice the only value ever observed.
+  Histogram* single = registry.GetHistogram("test/pct_single");
+  single->Observe(149.0);
+  EXPECT_DOUBLE_EQ(single->Percentile(50.0), 149.0);
+  EXPECT_DOUBLE_EQ(single->Percentile(99.0), 149.0);
+  Histogram* spread = registry.GetHistogram("test/pct_spread");
+  for (const double v : {12.0, 13.0, 14.0, 140.0, 160.0}) spread->Observe(v);
+  for (const double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+    EXPECT_GE(spread->Percentile(p), 12.0) << "p=" << p;
+    EXPECT_LE(spread->Percentile(p), 160.0) << "p=" << p;
+  }
+}
+
 TEST(HistogramTest, ResetZeroesEverything) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("test/reset", {1.0});

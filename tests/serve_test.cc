@@ -163,6 +163,9 @@ TEST_F(ServeTest, InvalidRequestsAreTypedAndNotRetried) {
       0, static_cast<AttributeId>(kMaxDiscoveryWindow + 2));
   EXPECT_TRUE(huge_window.status().IsInvalidArgument());
   EXPECT_EQ(client.counters().retries, 0u);
+  // Well-formed frames naming data that does not exist: counted by cause.
+  EXPECT_EQ(server->counters().request_invalid, 3u);
+  EXPECT_EQ(server->counters().protocol_errors, 0u);
 }
 
 TEST_F(ServeTest, FullQueueShedsWithTypedOverloadAndClientRetries) {
@@ -222,14 +225,12 @@ TEST_F(ServeTest, WatermarkDegradesConsentingRequestsToSupersets) {
 }
 
 TEST_F(ServeTest, QueueExpiredDeadlineIsDeadlineExceeded) {
-  ServerOptions options;
-  options.batch_linger_us = 0;
-  auto server = StartServer(options);
+  auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 1;
   TindClient client(client_options);
-  // Saturate the single batcher with a wide discovery window so a trailing
-  // 1 ms request expires in the queue behind it. Raw frames: the client
+  // Occupy the executors with wide discovery windows so a trailing 1 ms
+  // request may expire in the queue behind them. Raw frames: the client
   // API would wait for each response in turn.
   auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
   ASSERT_TRUE(fd.ok());
@@ -316,7 +317,7 @@ TEST_F(ServeTest, SlowLorisConnectionIsCutWithoutHangingTheServer) {
 
 TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
   ServerOptions options;
-  options.batch_linger_us = 20000;  // Hold a window open so work queues up.
+  options.execution_pace_ms = 20;  // Hold each query so work queues up.
   auto server = StartServer(options);
   auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
   ASSERT_TRUE(fd.ok());
@@ -415,8 +416,10 @@ TEST_F(ServeTest, LiveIngestFlipsServedAnswersToThePostDeltaIndex) {
         << "q=" << q;
   }
   server->Shutdown();
-  // Exactly one protocol error: the deliberate pre-delta out-of-range probe.
-  EXPECT_EQ(server->counters().protocol_errors, 1u);
+  // Exactly one invalid request: the deliberate pre-delta out-of-range
+  // probe. It is well-formed, so it is no protocol error.
+  EXPECT_EQ(server->counters().request_invalid, 1u);
+  EXPECT_EQ(server->counters().protocol_errors, 0u);
 }
 
 TEST_F(ServeTest, OpenLoopLoadAccountsForEveryRequest) {
@@ -437,6 +440,219 @@ TEST_F(ServeTest, OpenLoopLoadAccountsForEveryRequest) {
       << report.ToJson().Dump(2);
   EXPECT_GT(report.ok, 0u);
   server->Shutdown();
+}
+
+// ---- Executor pool --------------------------------------------------------
+
+TEST_F(ServeTest, HeavyWindowDoesNotBlockSearchOnAnotherConnection) {
+  // Every query costs 40 ms: the 16-wide discovery window holds its executor
+  // for 640 ms, one search for 40 ms. A second executor must answer the
+  // search while the window is still in flight.
+  ServerOptions options;
+  options.execution_pace_ms = 40;
+  options.default_deadline_ms = 5000;
+  auto server = StartServer(options);
+  TindClient client(ClientFor(*server));
+  ASSERT_TRUE(client.Ping().ok());  // Connected before the window goes out.
+  auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+  ASSERT_TRUE(fd.ok());
+  SearchRequest window;
+  window.attribute = 0;
+  window.window_end = 16;
+  ASSERT_LE(window.window_end, corpus_->dataset.size());
+  ASSERT_TRUE(SendFrame(*fd, MessageType::kDiscoveryWindow, 1,
+                        EncodeSearchRequest(window), 1000)
+                  .ok());
+  ASSERT_TRUE(WaitUntil([&] { return server->counters().accepted >= 1; }));
+
+  const TindParams params = Params();
+  auto reply = client.Search(3);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->ids, index_->Search(corpus_->dataset.attribute(3), params));
+  // The search is done while the paced window on the other executor is not.
+  EXPECT_EQ(server->counters().completed, 1u);
+
+  auto frame = RecvFrame(*fd, 5000, 5000);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->header.type, MessageType::kDiscoveryResult);
+  auto discovered = DecodeDiscoveryResponse(frame->payload);
+  ASSERT_TRUE(discovered.ok()) << discovered.status().ToString();
+  std::vector<TindPair> expected;
+  for (AttributeId lhs = window.attribute; lhs < window.window_end; ++lhs) {
+    for (const AttributeId rhs :
+         index_->Search(corpus_->dataset.attribute(lhs), params)) {
+      expected.push_back(TindPair{lhs, rhs});
+    }
+  }
+  EXPECT_EQ(discovered->pairs, expected);
+  CloseFd(*fd);
+  server->Shutdown();
+  EXPECT_EQ(server->counters().completed, 2u);
+}
+
+TEST_F(ServeTest, PipelinedMixedLoadOverConnectionsMatchesDirectIndex) {
+  // Three connections each pipeline forward, reverse, streamed and
+  // discovery-window requests without waiting for answers; the executors
+  // answer them concurrently and in any order. Every answer, matched by
+  // request id, must equal the direct index call.
+  ServerOptions options;
+  options.default_deadline_ms = 5000;
+  auto server = StartServer(options);
+  const size_t n = corpus_->dataset.size();
+  const TindParams params = Params();
+  const auto forward = [&](AttributeId a) {
+    return index_->Search(corpus_->dataset.attribute(a), params);
+  };
+  const auto reverse = [&](AttributeId a) {
+    return index_->ReverseSearch(corpus_->dataset.attribute(a), params);
+  };
+  constexpr size_t kConnections = 3;
+  constexpr uint64_t kPerConnection = 48;
+  constexpr AttributeId kWindow = 5;
+  enum class Kind { kForward, kReverse, kStream, kReverseStream, kWindow };
+  const auto kind_of = [](uint64_t id) { return static_cast<Kind>(id % 5); };
+  const auto attribute_of = [n](uint64_t id) {
+    return static_cast<AttributeId>((id * 7) % n);
+  };
+
+  // Each connection sends its whole share, then collects every frame.
+  std::vector<std::vector<Frame>> received(kConnections);
+  std::vector<Status> failures(kConnections, Status::OK());
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+      if (!fd.ok()) {
+        failures[c] = fd.status();
+        return;
+      }
+      for (uint64_t i = 0; i < kPerConnection; ++i) {
+        const uint64_t id = c * kPerConnection + i;
+        SearchRequest request;
+        request.attribute = attribute_of(id);
+        MessageType type = MessageType::kSearch;
+        std::string payload;
+        switch (kind_of(id)) {
+          case Kind::kForward:
+            payload = EncodeSearchRequest(request);
+            break;
+          case Kind::kReverse:
+            type = MessageType::kReverseSearch;
+            payload = EncodeSearchRequest(request);
+            break;
+          case Kind::kStream:
+          case Kind::kReverseStream: {
+            type = MessageType::kSearchStream;
+            SearchStreamRequest stream;
+            stream.base = request;
+            stream.reverse = kind_of(id) == Kind::kReverseStream;
+            payload = EncodeSearchStreamRequest(stream);
+            break;
+          }
+          case Kind::kWindow:
+            type = MessageType::kDiscoveryWindow;
+            request.window_end = static_cast<AttributeId>(
+                std::min<size_t>(n, request.attribute + kWindow));
+            payload = EncodeSearchRequest(request);
+            break;
+        }
+        const Status sent = SendFrame(*fd, type, id, payload, 1000);
+        if (!sent.ok()) {
+          failures[c] = sent;
+          CloseFd(*fd);
+          return;
+        }
+      }
+      uint64_t terminal = 0;
+      while (terminal < kPerConnection) {
+        auto frame = RecvFrame(*fd, 10000, 5000);
+        if (!frame.ok()) {
+          failures[c] = frame.status();
+          break;
+        }
+        if (frame->header.type != MessageType::kSearchPartial) ++terminal;
+        received[c].push_back(std::move(*frame));
+      }
+      CloseFd(*fd);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(failures[c].ok()) << "conn " << c << ": "
+                                  << failures[c].ToString();
+    std::set<uint64_t> answered;
+    std::set<uint64_t> partials;
+    for (const Frame& frame : received[c]) {
+      const uint64_t id = frame.header.request_id;
+      ASSERT_EQ(id / kPerConnection, c) << "answer on the wrong connection";
+      const AttributeId attr = attribute_of(id);
+      const Kind kind = kind_of(id);
+      const bool reverse_stream = kind == Kind::kReverseStream;
+      switch (frame.header.type) {
+        case MessageType::kSearchPartial: {
+          ASSERT_TRUE(kind == Kind::kStream || reverse_stream) << id;
+          EXPECT_FALSE(answered.count(id)) << "partial after final: " << id;
+          auto partial = DecodeSearchPartial(frame.payload);
+          ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+          const std::set<AttributeId> ids(partial->ids.begin(),
+                                          partial->ids.end());
+          for (const AttributeId exact :
+               reverse_stream ? reverse(attr) : forward(attr)) {
+            EXPECT_TRUE(ids.count(exact)) << "id=" << id << " " << exact;
+          }
+          partials.insert(id);
+          break;
+        }
+        case MessageType::kSearchResult: {
+          ASSERT_NE(kind, Kind::kWindow) << id;
+          auto response = DecodeSearchResponse(frame.payload);
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          EXPECT_FALSE(response->degraded) << id;
+          const bool is_reverse = kind == Kind::kReverse || reverse_stream;
+          EXPECT_EQ(response->ids, is_reverse ? reverse(attr) : forward(attr))
+              << "id=" << id;
+          EXPECT_TRUE(answered.insert(id).second) << "answered twice: " << id;
+          break;
+        }
+        case MessageType::kDiscoveryResult: {
+          ASSERT_EQ(kind, Kind::kWindow) << id;
+          auto response = DecodeDiscoveryResponse(frame.payload);
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          std::vector<TindPair> expected;
+          const AttributeId end =
+              static_cast<AttributeId>(std::min<size_t>(n, attr + kWindow));
+          for (AttributeId lhs = attr; lhs < end; ++lhs) {
+            for (const AttributeId rhs : forward(lhs)) {
+              expected.push_back(TindPair{lhs, rhs});
+            }
+          }
+          EXPECT_EQ(response->pairs, expected) << "id=" << id;
+          EXPECT_TRUE(answered.insert(id).second) << "answered twice: " << id;
+          break;
+        }
+        default:
+          ADD_FAILURE() << "id=" << id << " frame type "
+                        << static_cast<int>(frame.header.type) << ": "
+                        << DecodeErrorResponse(frame.payload).ToString();
+      }
+    }
+    EXPECT_EQ(answered.size(), kPerConnection) << "conn " << c;
+    for (uint64_t i = 0; i < kPerConnection; ++i) {
+      const uint64_t id = c * kPerConnection + i;
+      const Kind kind = kind_of(id);
+      if (kind == Kind::kStream || kind == Kind::kReverseStream) {
+        EXPECT_TRUE(partials.count(id)) << "stream without partial: " << id;
+      }
+    }
+  }
+  server->Shutdown();
+  const auto counters = server->counters();
+  EXPECT_EQ(counters.accepted, kConnections * kPerConnection);
+  EXPECT_EQ(counters.accepted,
+            counters.completed + counters.deadline_exceeded);
+  EXPECT_EQ(counters.deadline_exceeded, 0u);
+  EXPECT_EQ(counters.shed, 0u);
 }
 
 // ---- Streaming (anytime) op ---------------------------------------------
@@ -477,10 +693,11 @@ TEST_F(ServeTest, StreamedAnswersMatchDirectIndexCallsWithSoundPartials) {
 }
 
 TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
-  // stream_pace_ms holds the funnel between the partial and the final frame
-  // long enough for the 50 ms deadline to fire deterministically mid-stream.
+  // execution_pace_ms holds the funnel between the partial and the final
+  // frame long enough for the 50 ms deadline to fire deterministically
+  // mid-stream.
   ServerOptions options;
-  options.stream_pace_ms = 300;
+  options.execution_pace_ms = 300;
   auto server = StartServer(options);
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;
@@ -501,7 +718,7 @@ TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
 
 TEST_F(ServeTest, StreamDeadlineWithoutConsentErrorsAfterPartial) {
   ServerOptions options;
-  options.stream_pace_ms = 300;
+  options.execution_pace_ms = 300;
   auto server = StartServer(options);
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;  // No degraded consent.
@@ -562,7 +779,10 @@ TEST_F(ServeTest, MalformedStreamRequestIsTypedErrorAndServerSurvives) {
   // The server still answers healthy streams afterwards.
   StreamReply healthy;
   EXPECT_TRUE(client.SearchStream(0, &healthy).ok());
-  EXPECT_GE(server->counters().protocol_errors, 2u);
+  // The garbage payload is a protocol error; the out-of-range attribute is
+  // an invalid request.
+  EXPECT_EQ(server->counters().protocol_errors, 1u);
+  EXPECT_EQ(server->counters().request_invalid, 1u);
   server->Shutdown();
 }
 

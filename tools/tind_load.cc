@@ -13,9 +13,10 @@
 /// hedged reads.
 ///
 /// --sweep runs a QPS ladder and reports the knee: the highest offered
-/// rate absorbed with <1% shedding and every request accounted. --json
-/// writes the BENCH_serving.json document (shared schema with
-/// bench_serving, validated in CI against bench/baselines/serving.json).
+/// rate absorbed with <1% shedding, every request accounted and no backlog
+/// (see serve::RunQpsSweep). --json writes the BENCH_serving.json document
+/// (shared schema with bench_serving, validated in CI against
+/// bench/baselines/serving.json).
 ///
 /// --scenario=<name-or-json> replays a scenario traffic model (see
 /// src/scenario/): its queries/hot-set skew/reverse mix map onto the load
@@ -142,25 +143,13 @@ int Run(const Flags& flags) {
               "ok", "degraded", "shed", "deadline", "p50ms", "p99ms",
               "achieved");
 
-  SweepResult sweep;
-  if (flags.Has("sweep")) {
-    const std::vector<double> ladder =
-        flags.GetDoubleList("sweep", {50, 100, 200, 400});
-    sweep = tind::serve::RunQpsSweep(load, ladder);
-    for (const auto& point : sweep.points) PrintPoint(point.qps, point.report);
-    std::printf("knee: %.0f qps\n", sweep.knee_qps);
-  } else {
-    tind::serve::SweepPoint point;
-    point.qps = load.qps;
-    point.report = tind::serve::RunOpenLoopLoad(load);
-    PrintPoint(point.qps, point.report);
-    sweep.points.push_back(std::move(point));
-    const LoadReport& r = sweep.points.back().report;
-    if (r.AllAccounted() && r.offered > 0 &&
-        static_cast<double>(r.shed) < 0.01 * static_cast<double>(r.offered)) {
-      sweep.knee_qps = load.qps;
-    }
-  }
+  // A single run is a one-rung ladder, judged by the same knee rule.
+  const std::vector<double> ladder =
+      flags.Has("sweep") ? flags.GetDoubleList("sweep", {50, 100, 200, 400})
+                         : std::vector<double>{load.qps};
+  const SweepResult sweep = tind::serve::RunQpsSweep(load, ladder);
+  for (const auto& point : sweep.points) PrintPoint(point.qps, point.report);
+  if (flags.Has("sweep")) std::printf("knee: %.0f qps\n", sweep.knee_qps);
 
   bool all_accounted = true;
   for (const auto& point : sweep.points) {

@@ -14,10 +14,13 @@
 ///
 /// Serving knobs: --port (0 = ephemeral, printed and optionally written to
 /// --port_file), --max_inflight, --degrade_watermark, --deadline_ms,
-/// --max_deadline_ms, --io_timeout_ms, --batch_window, --linger_us,
-/// --max_connections, --memory_mb (admission MemoryBudget cap; 0 = none),
-/// --ingest (accept kApplyDelta frames for live index maintenance;
-/// off by default — without it ingest requests get FailedPrecondition).
+/// --max_deadline_ms, --io_timeout_ms, --batch_window (most requests one
+/// executor answers per dispatch), --max_connections, --memory_mb
+/// (admission MemoryBudget cap; 0 = none), --ingest (accept kApplyDelta
+/// frames for live index maintenance; off by default — without it ingest
+/// requests get FailedPrecondition). Requests are answered by natural group
+/// commit on one executor per hardware thread (at least two): an executor
+/// takes whatever queued while it was busy.
 ///
 /// --preflight verifies the snapshot's section CRCs and performs a full
 /// load, then exits without serving — with a *distinct exit code per
@@ -153,6 +156,7 @@ tind::obs::JsonValue CountersJson(const tind::serve::TindServer& server) {
   json.Set("shed", c.shed);
   json.Set("deadline_exceeded", c.deadline_exceeded);
   json.Set("protocol_errors", c.protocol_errors);
+  json.Set("request_invalid", c.request_invalid);
   json.Set("slow_loris_drops", c.slow_loris_drops);
   json.Set("deltas_applied", c.deltas_applied);
   json.Set("p50_ms", server.LatencyPercentileMs(50));
@@ -200,8 +204,6 @@ int Run(const Flags& flags) {
       flags.GetInt("max_deadline_ms", options.max_deadline_ms));
   options.io_timeout_ms = static_cast<uint32_t>(
       flags.GetInt("io_timeout_ms", options.io_timeout_ms));
-  options.batch_linger_us = static_cast<uint32_t>(
-      flags.GetInt("linger_us", options.batch_linger_us));
   options.batch_window = static_cast<size_t>(
       flags.GetInt("batch_window", static_cast<int64_t>(options.batch_window)));
   options.max_connections = static_cast<size_t>(flags.GetInt(
