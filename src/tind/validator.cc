@@ -1,6 +1,7 @@
 #include "tind/validator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,29 +18,28 @@ namespace {
 /// ContainsAll, so the window tracks counts for Q's value universe alone —
 /// a candidate with huge versions (the corpus catch-alls, the worst and
 /// most common validation case) costs one sorted intersection per version
-/// instead of hashing every value it holds into a map.
+/// instead of hashing every value it holds into a map. The universe is
+/// Q[T], which the history caches (AttributeHistory::AllValues), so a
+/// window costs no set-up beyond one linear merge per Q version.
 class DeltaWindow {
  public:
   DeltaWindow(const AttributeHistory& q, const AttributeHistory& a,
               int64_t delta)
-      : a_(a), delta_(delta) {
-    std::vector<const ValueSet*> q_versions;
-    q_versions.reserve(q.num_versions());
-    for (const ValueSet& v : q.versions()) q_versions.push_back(&v);
-    universe_ = ValueSet::UnionOf(q_versions);
+      : a_(a), delta_(delta), universe_(q.AllValues().values()) {
     counts_.assign(universe_.size(), 0);
     // Each Q version is a subset of the universe; resolve its values to
     // universe slots once so the per-interval containment check is a flat
-    // count lookup.
+    // count lookup. Both sides are sorted, so one forward merge per version
+    // finds every slot.
     version_slots_.resize(q.num_versions());
-    const auto& u = universe_.values();
     for (size_t vi = 0; vi < q.num_versions(); ++vi) {
       const auto& vals = q.versions()[vi].values();
       version_slots_[vi].reserve(vals.size());
+      size_t slot = 0;
       for (const ValueId v : vals) {
-        const auto it = std::lower_bound(u.begin(), u.end(), v);
-        version_slots_[vi].push_back(
-            static_cast<uint32_t>(it - u.begin()));
+        while (universe_[slot] < v) ++slot;
+        assert(universe_[slot] == v);
+        version_slots_[vi].push_back(static_cast<uint32_t>(slot));
       }
     }
   }
@@ -75,7 +75,7 @@ class DeltaWindow {
   /// version `idx`. Enter and leave enumerate the identical intersection,
   /// so the counts stay balanced.
   void UpdateVersion(int64_t idx, int delta) {
-    const auto& u = universe_.values();
+    const auto& u = universe_;
     const auto& av = a_.versions()[static_cast<size_t>(idx)].values();
     if (u.empty() || av.empty()) return;
     // Adaptive intersection: binary-search the big side when the sizes are
@@ -115,7 +115,7 @@ class DeltaWindow {
   const int64_t delta_;
   int64_t next_enter_ = 0;       ///< First version not yet entered.
   int64_t first_in_window_ = 0;  ///< First version still in the window.
-  ValueSet universe_;            ///< Union of all Q versions, sorted.
+  const std::vector<ValueId>& universe_;  ///< Q.AllValues(), sorted.
   std::vector<std::vector<uint32_t>> version_slots_;
   std::vector<int> counts_;      ///< Window multiplicity per universe slot.
 };
