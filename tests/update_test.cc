@@ -60,11 +60,12 @@ TEST(AppendVersionTest, SameTimestampOverwritesAndMayCoalesce) {
   EXPECT_EQ(history->num_versions(), 2u);
   EXPECT_EQ(history->VersionAt(20), Values({9}));
   // AllValues must have dropped the overwritten {2,3} remnant value 3.
-  EXPECT_FALSE(history->AllValues().Contains(3));
+  EXPECT_EQ(history->AllValues(), Values({1, 2, 9}));
   // Overwrite with values equal to the predecessor: the change point pops.
   ASSERT_TRUE(history->AppendVersion(20, Values({1, 2})).ok());
   EXPECT_EQ(history->num_versions(), 1u);
   EXPECT_EQ(history->VersionAt(50), Values({1, 2}));
+  EXPECT_EQ(history->AllValues(), Values({1, 2}));
 }
 
 TEST(AppendVersionTest, EqualToCurrentCoalescesAway) {
